@@ -12,7 +12,7 @@ from .engine import (
     term_magnitude,
 )
 from .errors import CmexpandError
-from .numerics import QuadraticSurd, Rational, finite_complex, surd_pow, surd_to_rational
+from .numerics import QuadraticSurd, finite_complex
 from .realnum import Comparison, PrecisionReal, inv_pi, pi, pi_multiple, real_compare
 from .sequences import (
     a_continuous,
@@ -21,13 +21,12 @@ from .sequences import (
     gen_j_like,
     gen_j_like_recurrence,
     gen_j_recurrence,
-    generalized_jacobsthal,
     gf_coefficients,
     j_continuous,
     jacobsthal,
     lucas_u,
 )
-from .simulator import MassLedger, ledger_cm, ledger_init, ledger_step, simulate
+from .simulator import MassLedger, ledger_init, ledger_step, simulate
 from .targets import parse_target
 
 __version__ = "0.1.0"
@@ -41,7 +40,6 @@ __all__ = [
     "MassLedger",
     "PrecisionReal",
     "QuadraticSurd",
-    "Rational",
     "X0Policy",
     "a_continuous",
     "a_number",
@@ -53,12 +51,10 @@ __all__ = [
     "gen_j_like",
     "gen_j_like_recurrence",
     "gen_j_recurrence",
-    "generalized_jacobsthal",
     "gf_coefficients",
     "inv_pi",
     "j_continuous",
     "jacobsthal",
-    "ledger_cm",
     "ledger_init",
     "ledger_step",
     "lucas_u",
@@ -68,7 +64,5 @@ __all__ = [
     "real_compare",
     "regroup",
     "simulate",
-    "surd_pow",
-    "surd_to_rational",
     "term_magnitude",
 ]

@@ -16,15 +16,11 @@ from importlib import resources
 from pathlib import Path
 
 from .engine import ExpansionRatio, expand
-from .errors import NonConsecutiveIndex, ParseError, UnknownFamily
-from .numerics import QuadraticSurd
-from .sequences import a_number, gen_j, gen_j_like, lucas_u
+from .errors import MalformedCatalog, NonConsecutiveIndex, ParseError, UnknownFamily
+from .sequences import CATALOG_SPELLINGS, FAMILIES
 from .targets import parse_target
 
-FAMILY_GEN_J = "gen-j"
-FAMILY_GEN_J_LIKE = "gen-jlike"
-FAMILY_A_NUMBER = "a-number"
-FAMILY_LUCAS = "lucas"
+# The catalog's own families; the sequence families come from the registry.
 FAMILY_ENGINE = "engine-partial-sums"
 FAMILY_CUSTOM = "custom"
 
@@ -76,7 +72,15 @@ def entry_to_dict(entry: CatalogEntry) -> dict:
     return record
 
 
+def _require_fields(record, fields, where: str) -> None:
+    missing = [field for field in fields if field not in record]
+    if missing:
+        raise MalformedCatalog(f"{where} lacks {', '.join(map(repr, missing))}")
+
+
 def entry_from_dict(record: dict) -> CatalogEntry:
+    where = f"catalog entry {record['id']!r}" if "id" in record else "catalog entry"
+    _require_fields(record, ("id", "family", "values"), where)
     return CatalogEntry(
         id=record["id"],
         family=record["family"],
@@ -88,10 +92,14 @@ def entry_from_dict(record: dict) -> CatalogEntry:
     )
 
 
+def _entries(document) -> list[CatalogEntry]:
+    _require_fields(document, ("entries",), "catalog document")
+    return [entry_from_dict(record) for record in document["entries"]]
+
+
 def load_catalog(path) -> list[CatalogEntry]:
     with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
-    return [entry_from_dict(record) for record in document["entries"]]
+        return _entries(json.load(handle))
 
 
 def dump_catalog(entries, path) -> None:
@@ -102,7 +110,7 @@ def dump_catalog(entries, path) -> None:
 def builtin_catalog() -> list[CatalogEntry]:
     """The packaged fixtures: every sequence prefix treated as ground truth."""
     text = resources.files(__package__).joinpath("data", _DATA_FILE).read_text("utf-8")
-    return [entry_from_dict(record) for record in json.loads(text)["entries"]]
+    return _entries(json.loads(text))
 
 
 def load_bfile(path) -> tuple[int, list[Fraction]]:
@@ -142,19 +150,6 @@ def write_bfile(entry: CatalogEntry, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _surd_from_params(record) -> QuadraticSurd:
-    return QuadraticSurd(Fraction(record["a"]), Fraction(record["b"]), int(record["d"]))
-
-
-def _jlike_params(params):
-    if "d" in params:
-        d = int(params["d"])
-        r = _surd_from_params({**params["r"], "d": d})
-        s = _surd_from_params({**params["s"], "d": d})
-        return r, s
-    return int(params["r"]), int(params["s"])
-
-
 def _engine_values(params, offset: int, count: int) -> list[Fraction]:
     ratio = ExpansionRatio.from_text(params["ratio"])
     stride = int(params.get("stride", 1))
@@ -175,25 +170,15 @@ def _engine_values(params, offset: int, count: int) -> list[Fraction]:
 def computed_values(entry: CatalogEntry) -> list[Fraction]:
     """Recompute the entry's values through the library routes."""
     count = len(entry.values)
-    indices = range(entry.offset, entry.offset + count)
-    params = entry.params
-    if entry.family == FAMILY_GEN_J:
-        return [gen_j(int(params["r"]), int(params["s"]), n) for n in indices]
-    if entry.family == FAMILY_GEN_J_LIKE:
-        r, s = _jlike_params(params)
-        return [gen_j_like(r, s, n) for n in indices]
-    if entry.family == FAMILY_LUCAS:
-        p, q = Fraction(params["p"]), Fraction(params["q"])
-        return [lucas_u(p, q, n) for n in indices]
-    if entry.family == FAMILY_A_NUMBER:
-        a, b = Fraction(params["a"]), Fraction(params["b"])
-        s, t = Fraction(params["s"]), Fraction(params["t"])
-        return [a_number(a, b, s, t, n) for n in indices]
     if entry.family == FAMILY_ENGINE:
-        return _engine_values(params, entry.offset, count)
+        return _engine_values(entry.params, entry.offset, count)
     if entry.family == FAMILY_CUSTOM:
         return list(entry.values)
-    raise UnknownFamily(f"entry {entry.id}: family {entry.family!r}")
+    if entry.family not in CATALOG_SPELLINGS:
+        raise UnknownFamily(f"entry {entry.id}: family {entry.family!r}")
+    family = FAMILIES[CATALOG_SPELLINGS[entry.family]]
+    arguments = family.arguments(entry.params)
+    return [family.value(*arguments, n) for n in range(entry.offset, entry.offset + count)]
 
 
 def verify_entry(entry: CatalogEntry) -> VerificationReport:

@@ -22,6 +22,7 @@ from .engine import ExpansionRatio, Expansion, expand, regroup, term_magnitude
 from .errors import (
     BFileError,
     CmexpandError,
+    MalformedCatalog,
     RangeError,
     TargetSyntaxError,
     UnknownFamily,
@@ -33,7 +34,9 @@ EXIT_USAGE = 1
 EXIT_MATH = 2
 EXIT_MISMATCH = 3
 
-_USAGE_ERRORS = (TargetSyntaxError, RangeError, BFileError, UnknownFamily, ValueError, TypeError)
+_USAGE_ERRORS = (
+    TargetSyntaxError, RangeError, BFileError, UnknownFamily, MalformedCatalog, ValueError, TypeError,
+)
 
 
 class _UsageError(Exception):
@@ -66,16 +69,6 @@ def _parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad rational {text!r}: {exc}") from None
-
-
-def _parse_complex(text: str) -> complex:
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError:
-        try:
-            return complex(float(Fraction(text)))
-        except (ValueError, ZeroDivisionError):
-            raise _UsageError(f"bad complex number {text!r}") from None
 
 
 def _expansion_payload(run: Expansion, target_text: str, block: int | None) -> dict:
@@ -140,45 +133,17 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _parse_int(text: str, flag: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise _UsageError(f"{flag} must be an integer, got {text!r}") from None
-
-
 def _seq_values(args) -> tuple[dict, list]:
     lo, hi = args.from_index, args.to_index
     if hi < lo:
         raise _UsageError("--to must be at least --from")
-    family = args.family
-    indices = range(lo, hi + 1)
-    if family == "jacobsthal":
-        return {}, [(n, sequences.jacobsthal(n)) for n in indices]
-    if family in ("gen-j", "gen-jlike"):
-        _require(args, "r", "s")
-        r, s = _parse_int(args.r, "--r"), _parse_int(args.s, "--s")
-        fn = sequences.gen_j if family == "gen-j" else sequences.gen_j_like
-        return {"r": r, "s": s}, [(n, fn(r, s, n)) for n in indices]
-    if family == "lucas":
-        _require(args, "p", "q")
-        p, q = _parse_rational(args.p), _parse_rational(args.q)
-        return {"p": str(p), "q": str(q)}, [(n, sequences.lucas_u(p, q, n)) for n in indices]
-    if family == "a-num":
-        _require(args, "a", "b", "s", "t")
-        a, b = _parse_rational(args.a), _parse_rational(args.b)
-        s, t = _parse_rational(args.s), _parse_rational(args.t)
-        params = {"a": str(a), "b": str(b), "s": str(s), "t": str(t)}
-        return params, [(n, sequences.a_number(a, b, s, t, n)) for n in indices]
-    if family == "j-complex":
-        _require(args, "mu", "nu")
-        mu, nu = _parse_complex(args.mu), _parse_complex(args.nu)
-        params = {"mu": _num(mu), "nu": _num(nu)}
-        if args.lambda_ is not None:
-            lam = _parse_complex(args.lambda_)
-            return params, [("lambda", sequences.j_continuous(mu, nu, lam))]
-        return params, [(n, sequences.j_continuous(mu, nu, n)) for n in indices]
-    raise _UsageError(f"unknown family {family!r}")
+    family = sequences.FAMILIES[sequences.SEQ_SPELLINGS[args.family]]
+    _require(args, *family.params)
+    arguments = family.arguments(vars(args))
+    params = {name: v if isinstance(v, int) else _num(v) for name, v in zip(family.params, arguments)}
+    if family.complex_index and args.lambda_ is not None:
+        return params, [("lambda", family.value(*arguments, family.convert(args.lambda_, "lambda")))]
+    return params, [(n, family.value(*arguments, n)) for n in range(lo, hi + 1)]
 
 
 def _require(args, *names):
@@ -199,9 +164,6 @@ def _cmd_seq(args) -> int:
     return EXIT_OK
 
 
-_FAMILY_ALIASES = {"j": sequences.GEN_J, "jlike": sequences.GEN_J_LIKE}
-
-
 def _report_payload(report: identities.IdentityReport) -> dict:
     return {
         "identity": report.identity,
@@ -217,7 +179,7 @@ def _report_payload(report: identities.IdentityReport) -> dict:
 
 
 def _cmd_identity(args) -> int:
-    family = _FAMILY_ALIASES[args.family]
+    family = sequences.IDENTITY_SPELLINGS[args.family]
     which = identities.IDENTITIES if args.which == "all" else (args.which,)
     if args.sweep is not None:
         summary = identities.identity_sweep(family, args.r, args.s, args.sweep)
@@ -321,25 +283,21 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("seq", help="evaluate a sequence family over an index range")
-    p.add_argument("--family", required=True,
-                   choices=["jacobsthal", "gen-j", "gen-jlike", "lucas", "a-num", "j-complex"])
-    p.add_argument("--r", help="integer r (gen-j, gen-jlike)")
-    p.add_argument("--s", help="integer s, or rational s for a-num")
-    p.add_argument("--p", help="Lucas P")
-    p.add_argument("--q", help="Lucas Q")
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--t")
-    p.add_argument("--mu")
-    p.add_argument("--nu")
-    p.add_argument("--lambda", dest="lambda_", help="single complex index for j-complex")
+    p.add_argument("--family", required=True, choices=list(sequences.SEQ_SPELLINGS))
+    users = {}  # parameter name -> the seq families that take it
+    for spelling, name in sequences.SEQ_SPELLINGS.items():
+        for param in sequences.FAMILIES[name].params:
+            users.setdefault(param, []).append(spelling)
+    for param, spellings in users.items():
+        p.add_argument(f"--{param}", help="for " + ", ".join(spellings))
+    p.add_argument("--lambda", dest="lambda_", help="single complex index, for families that take one")
     p.add_argument("--from", dest="from_index", type=int, default=0)
     p.add_argument("--to", dest="to_index", type=int, default=10)
     p.set_defaults(func=_cmd_seq)
 
     p = sub.add_parser("identity", help="check the Catalan/convolution/D'Ocagne identities")
     p.add_argument("--which", choices=["catalan", "convolution", "docagne", "all"], default="all")
-    p.add_argument("--family", choices=["j", "jlike"], required=True)
+    p.add_argument("--family", choices=list(sequences.IDENTITY_SPELLINGS), required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n", type=int)

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InsufficientTerms, NonConvergent, PrecisionExhausted
+from .numerics import check_ratio
 from .realnum import Comparison, PrecisionReal, real_compare
 
 Half = Fraction(1, 2)
@@ -28,10 +29,7 @@ class ExpansionRatio:
 
     def __post_init__(self):
         r, s = self.r, self.s
-        if not (isinstance(r, int) and isinstance(s, int)):
-            raise TypeError("r and s must be integers")
-        if r < 1 or s <= r:
-            raise ValueError(f"need s > r >= 1, got {r}/{s}")
+        check_ratio(r, s)
         g = gcd(r, s)
         object.__setattr__(self, "r", r // g)
         object.__setattr__(self, "s", s // g)
@@ -46,11 +44,6 @@ class ExpansionRatio:
     @property
     def value(self) -> Fraction:
         return Fraction(self.r, self.s)
-
-    @property
-    def weight(self) -> tuple[int, int]:
-        """The per-step mix r : (s - r) of masses combined by one move."""
-        return (self.r, self.s - self.r)
 
     def __str__(self) -> str:
         return f"{self.r}/{self.s}"

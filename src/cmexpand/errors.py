@@ -57,6 +57,10 @@ class UnknownFamily(CmexpandError):
     """A catalog entry names a family the verifier cannot recompute."""
 
 
+class MalformedCatalog(CmexpandError):
+    """A catalog document or entry lacks a required field."""
+
+
 class TargetSyntaxError(CmexpandError):
     """Target expression failed to parse; `position` is the offending offset."""
 

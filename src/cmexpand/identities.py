@@ -1,10 +1,17 @@
 """Exact verification of the Catalan, convolution, and D'Ocagne identities.
 
-Both sequence families satisfy the same three identities, with every sign
-and power of (s r) flipping under r -> -r.  The Catalan identity is checked
-in its squared form, which is the one that actually holds; the unsquared
-variant circulates in print and is provided only so tests can pin down that
-it fails.
+Each identity is written once, for gen_j_like(t, s, .) with the family's
+signed r: t = r for gen-jlike and t = -r for gen-j, so every sign and power
+of (s r) that differs between the families comes from t alone.  With J_k
+the k-th term:
+
+* Catalan:     J_{n-m} J_{n+m} - J_n**2 = -(s t)**(n-m) J_m**2
+* convolution: J_{n+m} = J_{n+1} J_m - s t J_n J_{m-1}
+* D'Ocagne:    J_n J_{m+1} - J_{n+1} J_m = (s t)**m J_{n-m}
+
+The Catalan identity is checked in its squared form, which is the one that
+actually holds; the unsquared variant circulates in print and is provided
+only so tests can pin down that it fails.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidIndices
-from .sequences import GEN_J, GEN_J_LIKE, gen_j, gen_j_like
+from .sequences import gen_j_like, signed_r
 
 CATALAN = "catalan"
 CONVOLUTION = "convolution"
@@ -37,42 +44,31 @@ class IdentityReport:
         return self.lhs == self.rhs
 
 
-def _family_term(family: str):
-    if family == GEN_J:
-        return lambda r, s, n: gen_j(r, s, n)
-    if family == GEN_J_LIKE:
-        return lambda r, s, n: gen_j_like(r, s, n)
-    raise ValueError(f"unknown family {family!r}")
+def _catalan(term, st: Fraction, n: int, m: int, power: int = 2):
+    lhs = term(n - m) * term(n + m) - term(n) ** power
+    rhs = -(st ** (n - m)) * term(m) ** power
+    return lhs, rhs
+
+
+def _convolution(term, st: Fraction, n: int, m: int):
+    return term(n + m), term(n + 1) * term(m) - st * term(n) * term(m - 1)
+
+
+def _docagne(term, st: Fraction, n: int, m: int):
+    return term(n) * term(m + 1) - term(n + 1) * term(m), st ** m * term(n - m)
+
+
+_SIDES = {CATALAN: _catalan, CONVOLUTION: _convolution, DOCAGNE: _docagne}
+
+
+def _closed_form(t: int, s: int):
+    return lambda k: gen_j_like(t, s, k)
 
 
 def catalan_sides(family: str, r: int, s: int, n: int, m: int, squared: bool = True):
     """Both sides of the Catalan identity; squared=False gives the broken variant."""
-    seq = _family_term(family)
-    base = Fraction(s * r) if family == GEN_J_LIKE else Fraction(-s * r)
-    power = 2 if squared else 1
-    lhs = seq(r, s, n - m) * seq(r, s, n + m) - seq(r, s, n) ** power
-    rhs = -(base ** (n - m)) * seq(r, s, m) ** power
-    return lhs, rhs
-
-
-def _convolution_sides(family: str, r: int, s: int, n: int, m: int):
-    seq = _family_term(family)
-    lhs = seq(r, s, n + m)
-    cross = s * r * seq(r, s, n) * seq(r, s, m - 1)
-    if family == GEN_J_LIKE:
-        rhs = seq(r, s, n + 1) * seq(r, s, m) - cross
-    else:
-        rhs = seq(r, s, n + 1) * seq(r, s, m) + cross
-    return lhs, rhs
-
-
-def _docagne_sides(family: str, r: int, s: int, n: int, m: int):
-    seq = _family_term(family)
-    lhs = seq(r, s, n) * seq(r, s, m + 1) - seq(r, s, n + 1) * seq(r, s, m)
-    rhs = Fraction(s * r) ** m * seq(r, s, n - m)
-    if family == GEN_J:
-        rhs *= (-1) ** m
-    return lhs, rhs
+    t = signed_r(family, r, s)
+    return _catalan(_closed_form(t, s), Fraction(s * t), n, m, 2 if squared else 1)
 
 
 def _check_indices(identity: str, n: int, m: int):
@@ -88,15 +84,9 @@ def _check_indices(identity: str, n: int, m: int):
 
 def identity_check(identity: str, family: str, r: int, s: int, n: int, m: int) -> IdentityReport:
     """Evaluate both sides of one identity exactly and report them."""
-    if not s > r >= 1:
-        raise ValueError(f"need s > r >= 1, got r={r}, s={s}")
+    t = signed_r(family, r, s)
     _check_indices(identity, n, m)
-    if identity == CATALAN:
-        lhs, rhs = catalan_sides(family, r, s, n, m)
-    elif identity == CONVOLUTION:
-        lhs, rhs = _convolution_sides(family, r, s, n, m)
-    else:
-        lhs, rhs = _docagne_sides(family, r, s, n, m)
+    lhs, rhs = _SIDES[identity](_closed_form(t, s), Fraction(s * t), n, m)
     return IdentityReport(identity, family, r, s, n, m, lhs, rhs)
 
 
@@ -120,6 +110,10 @@ def identity_sweep(family: str, r_max: int, s_max: int, n_max: int) -> SweepSumm
     failures = []
     for r in range(1, r_max + 1):
         for s in range(r + 1, s_max + 1):
+            t = signed_r(family, r, s)
+            st = Fraction(s * t)
+            # every index the identities touch lies in 0..2*n_max
+            term = [gen_j_like(t, s, k) for k in range(2 * n_max + 1)].__getitem__
             for n in range(n_max + 1):
                 for m in range(n_max + 1):
                     for identity in IDENTITIES:
@@ -128,8 +122,8 @@ def identity_sweep(family: str, r_max: int, s_max: int, n_max: int) -> SweepSumm
                         except InvalidIndices:
                             skipped += 1
                             continue
-                        report = identity_check(identity, family, r, s, n, m)
                         checked += 1
-                        if not report.holds:
-                            failures.append(report)
+                        lhs, rhs = _SIDES[identity](term, st, n, m)
+                        if lhs != rhs:
+                            failures.append(IdentityReport(identity, family, r, s, n, m, lhs, rhs))
     return SweepSummary(family, checked, skipped, tuple(failures))

@@ -13,7 +13,13 @@ from fractions import Fraction
 
 from .errors import NotRational
 
-Rational = Fraction
+
+def check_ratio(r, s) -> None:
+    """The one check on ratio and family parameters: integers with s > r >= 1."""
+    if not (isinstance(r, int) and isinstance(s, int)):
+        raise TypeError("r and s must be integers")
+    if not s > r >= 1:
+        raise ValueError(f"need s > r >= 1, got r={r}, s={s}")
 
 
 def _squarefree(d: int) -> tuple[int, int]:
@@ -51,10 +57,6 @@ class QuadraticSurd:
             if d == 1:
                 a, b, d = a + b, Fraction(0), 0
         self._a, self._b, self._d = a, b, d
-
-    @classmethod
-    def from_rational(cls, value) -> QuadraticSurd:
-        return cls(Fraction(value))
 
     @property
     def a(self) -> Fraction:
@@ -190,20 +192,6 @@ class QuadraticSurd:
             return str(self._a)
         sign = "+" if self._b >= 0 else "-"
         return f"{self._a} {sign} {abs(self._b)}*sqrt({self._d})"
-
-
-def surd_pow(x: QuadraticSurd, n: int) -> QuadraticSurd:
-    """Exact n-th power of a surd; x**0 is 1, negative n inverts first."""
-    if not isinstance(x, QuadraticSurd):
-        x = QuadraticSurd(x)
-    return x ** n
-
-
-def surd_to_rational(x: QuadraticSurd) -> Fraction:
-    """The rational value of x, or NotRational if its surd part survives."""
-    if not isinstance(x, QuadraticSurd):
-        return Fraction(x)
-    return x.to_rational()
 
 
 def finite_complex(value) -> complex:

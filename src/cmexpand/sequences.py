@@ -1,25 +1,34 @@
 """The sequence families generated by signed r/s expansions.
 
-Two closed forms carry everything here:
+One closed form in a signed parameter t carries everything here:
 
-* ``gen_j(r, s, n)``       = (s**n - (-r)**n) / (s + r)
-* ``gen_j_like(r, s, n)``  = (s**n - r**n) / (s - r)
+* ``gen_j_like(t, s, n)`` = (s**n - t**n) / (s - t)
+* ``gen_j(r, s, n)``      = (s**n - (-r)**n) / (s + r) = gen_j_like(-r, s, n)
 
-Both are evaluated exactly for any integer n (negative indices give
-rationals), over the integers, the rationals, or a quadratic surd field.
-Classical Jacobsthal numbers are gen_j(1, 2, n); Fibonacci and Pell arise
-from gen_j_like with golden- and silver-ratio surd parameters.  Recurrence
-and generating-function routes are provided separately so the three can be
+so the two families differ only by the sign of r: gen-j validates
+s > r >= 1 and evaluates gen-jlike at t = -r, in every route.  Values are
+exact for any integer n (negative indices give rationals), over the
+integers, the rationals, or a quadratic surd field.  Classical Jacobsthal
+numbers are gen_j(1, 2, n); Fibonacci and Pell arise from gen_j_like with
+golden- and silver-ratio surd parameters.  Recurrence and
+generating-function routes are provided separately so the three can be
 checked against each other.
+
+`FAMILIES` at the end of the module is the one family registry: each name
+maps to its parameter names, how to read them from CLI text or catalog
+JSON, and its evaluator.  The `*_SPELLINGS` maps list the names each front
+end accepts.
 """
 
 from __future__ import annotations
 
 import cmath
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import BranchUndefined, DegenerateParams
-from .numerics import QuadraticSurd, finite_complex
+from .numerics import QuadraticSurd, check_ratio, finite_complex
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -28,11 +37,11 @@ GEN_J = "gen-j"
 GEN_J_LIKE = "gen-jlike"
 
 
-def _lift(*values):
-    """Coerce mixed rational/surd inputs into a common ring."""
-    if any(isinstance(v, QuadraticSurd) for v in values):
-        return tuple(v if isinstance(v, QuadraticSurd) else QuadraticSurd(v) for v in values)
-    return tuple(Fraction(v) for v in values)
+def _lift(x, y):
+    """Coerce a mixed rational/surd pair into a common ring."""
+    if isinstance(x, QuadraticSurd) or isinstance(y, QuadraticSurd):
+        return tuple(v if isinstance(v, QuadraticSurd) else QuadraticSurd(v) for v in (x, y))
+    return Fraction(x), Fraction(y)
 
 
 def _settle(value):
@@ -42,42 +51,29 @@ def _settle(value):
     return value
 
 
-def _check_int_params(r, s):
-    if not (isinstance(r, int) and isinstance(s, int)):
-        raise TypeError("r and s must be integers")
-    if not s > r >= 1:
-        raise ValueError(f"need s > r >= 1, got r={r}, s={s}")
-
-
 def jacobsthal(n: int) -> Fraction:
     """Classical Jacobsthal number (2**n - (-1)**n) / 3, any integer n."""
     return gen_j(1, 2, n)
 
 
 def gen_j(r: int, s: int, n: int) -> Fraction:
-    """(s**n - (-r)**n) / (s + r) for integers s > r >= 1 and any integer n."""
-    _check_int_params(r, s)
-    return (Fraction(s) ** n - Fraction(-r) ** n) / (s + r)
+    """(s**n - (-r)**n) / (s + r) = gen_j_like(-r, s, n), integers s > r >= 1, any integer n."""
+    check_ratio(r, s)
+    return gen_j_like(-r, s, n)
 
 
 def gen_j_like(r, s, n: int):
     """(s**n - r**n) / (s - r) for distinct rational or surd r, s, any integer n.
 
-    Returns a Fraction whenever the value is rational (always, for rational
-    parameters; also for conjugate surd pairs such as the Fibonacci and Pell
-    parameterizations).
+    r may carry either sign; gen_j is this function at -r.  Returns a
+    Fraction whenever the value is rational (always, for rational
+    parameters; also for conjugate surd pairs such as the Fibonacci and
+    Pell parameterizations).
     """
     r, s = _lift(r, s)
     if r == s:
         raise DegenerateParams("r and s must differ")
     return _settle((s ** n - r ** n) / (s - r))
-
-
-def generalized_jacobsthal(s: int, n: int) -> Fraction:
-    """(s**n - (-1)**n) / (s + 1): the r = 1 slice of gen_j, s >= 2."""
-    if s < 2:
-        raise ValueError("s must be at least 2")
-    return gen_j(1, s, n)
 
 
 def _unroll(seed0, seed1, c1, c2, count: int) -> list:
@@ -88,28 +84,17 @@ def _unroll(seed0, seed1, c1, c2, count: int) -> list:
 
 
 def gen_j_recurrence(r: int, s: int, count: int, direction: str = FORWARD) -> list[Fraction]:
-    """gen_j values by recurrence unrolling.
+    """gen_j values by recurrence unrolling: gen_j_like_recurrence at -r.
 
-    Forward: seeds 0, 1 and J_n = (s-r) J_{n-1} + r s J_{n-2}, giving indices
-    0..count-1.  Backward: seeds 0, 1/(rs) and the inverted recurrence
-    J_{-n} = -((s-r)/(rs)) J_{-(n-1)} + (1/(rs)) J_{-(n-2)}, giving indices
-    0, -1, .., -(count-1).
+    Forward: J_n = (s-r) J_{n-1} + r s J_{n-2}, indices 0..count-1.
+    Backward: seeds 0, 1/(rs), indices 0, -1, .., -(count-1).
     """
-    _check_int_params(r, s)
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if direction == FORWARD:
-        values = _unroll(Fraction(0), Fraction(1), Fraction(s - r), Fraction(r * s), max(count, 2))
-    elif direction == BACKWARD:
-        rs = Fraction(r * s)
-        values = _unroll(Fraction(0), 1 / rs, -Fraction(s - r) / rs, 1 / rs, max(count, 2))
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return values[:count]
+    check_ratio(r, s)
+    return gen_j_like_recurrence(-r, s, count, direction)
 
 
 def gen_j_like_recurrence(r, s, count: int, direction: str = FORWARD) -> list:
-    """gen_j_like values by recurrence unrolling; r, s may be surds.
+    """gen_j_like values by recurrence unrolling; r, s may be surds or of either sign.
 
     Forward: seeds 0, 1 and Jt_n = (s+r) Jt_{n-1} - r s Jt_{n-2}.  Backward:
     seeds 0, -1/(rs) and Jt_{-n} = ((s+r)/(rs)) Jt_{-(n-1)} - (1/(rs)) Jt_{-(n-2)}.
@@ -155,20 +140,15 @@ def _series_quotient(numerator: list[Fraction], denominator: list[Fraction], cou
 
 
 def gf_coefficients(kind: str, r: int, s: int, count: int) -> list[Fraction]:
-    """Coefficients of the family's generating function.
+    """Coefficients of z / (1 - (s+t) z + t s z**2), t the family's signed r.
 
-    gen-j:     z / (1 - (s-r) z - r s z**2)
-    gen-jlike: z / (1 - (s+r) z + r s z**2)
+    gen-jlike (t = r):  z / (1 - (s+r) z + r s z**2)
+    gen-j     (t = -r): z / (1 - (s-r) z - r s z**2)
     """
-    _check_int_params(r, s)
+    t = signed_r(kind, r, s)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if kind == GEN_J:
-        denominator = [Fraction(1), Fraction(-(s - r)), Fraction(-r * s)]
-    elif kind == GEN_J_LIKE:
-        denominator = [Fraction(1), Fraction(-(s + r)), Fraction(r * s)]
-    else:
-        raise ValueError(f"unknown family {kind!r}")
+    denominator = [Fraction(1), Fraction(-(s + t)), Fraction(t * s)]
     return _series_quotient([Fraction(0), Fraction(1)], denominator, count)
 
 
@@ -180,12 +160,8 @@ def a_number(a, b, s, t, n: int):
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if any(isinstance(v, complex) for v in (a, b, s, t)):
-        a, b, s, t = (finite_complex(v) for v in (a, b, s, t))
-        if s + t == 0:
-            raise DegenerateParams("s + t must be nonzero")
-        return (a * s ** n + (-1) ** n * b * t ** n) / (s + t)
-    a, b, s, t = (Fraction(v) for v in (a, b, s, t))
+    exact = not any(isinstance(v, complex) for v in (a, b, s, t))
+    a, b, s, t = (Fraction(v) if exact else finite_complex(v) for v in (a, b, s, t))
     if s + t == 0:
         raise DegenerateParams("s + t must be nonzero")
     return (a * s ** n + (-1) ** n * b * t ** n) / (s + t)
@@ -215,3 +191,82 @@ def a_continuous(a, b, nu, gamma, lam) -> complex:
         raise DegenerateParams("nu + gamma must be nonzero")
     alternating = cmath.exp(1j * cmath.pi * lam)
     return (a * _principal_pow(nu, lam) + alternating * b * _principal_pow(gamma, lam)) / (nu + gamma)
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _rational(value, name: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} must be a rational, got {value!r}") from None
+
+
+def _complex(value, name: str) -> complex:
+    try:
+        return complex(value.replace(" ", ""))
+    except ValueError:
+        pass
+    try:
+        return complex(float(Fraction(value)))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} must be a complex number, got {value!r}") from None
+
+
+@dataclass(frozen=True)
+class Family:
+    """A registry entry: the family's parameter names, how to read them, its evaluator."""
+
+    params: tuple[str, ...]
+    value: Callable  # value(*arguments, n) is the n-th term
+    convert: Callable = _integer  # (raw value, parameter name) -> evaluator argument
+    sign: int = 0  # gen-j is gen-jlike at t = sign * r; 0 outside that pair
+    surds: bool = False  # catalog params may give each as {"a", "b"} of a + b*sqrt(d), one shared "d"
+    complex_index: bool = False  # may also be evaluated at one complex index
+
+    def arguments(self, raw) -> tuple:
+        """The evaluator's arguments, read from a mapping of CLI text or catalog JSON."""
+        if self.surds and "d" in raw:
+            d = int(raw["d"])
+            return tuple(QuadraticSurd(Fraction(raw[k]["a"]), Fraction(raw[k]["b"]), d) for k in self.params)
+        return tuple(self.convert(raw[k], k) for k in self.params)
+
+
+# The evaluators resolve the module's functions when called, so wrappers put
+# on this module's names (the benchmark's per-layer tracer) see registry calls.
+FAMILIES = {
+    "jacobsthal": Family((), lambda n: jacobsthal(n)),
+    GEN_J: Family(("r", "s"), lambda r, s, n: gen_j(r, s, n), sign=-1),
+    GEN_J_LIKE: Family(("r", "s"), lambda r, s, n: gen_j_like(r, s, n), sign=1, surds=True),
+    "lucas": Family(("p", "q"), lambda p, q, n: lucas_u(p, q, n), _rational),
+    "a-number": Family(("a", "b", "s", "t"), lambda a, b, s, t, n: a_number(a, b, s, t, n), _rational),
+    "j-complex": Family(
+        ("mu", "nu"), lambda mu, nu, lam: j_continuous(mu, nu, lam), _complex, complex_index=True
+    ),
+}
+
+# The public spellings of each front end, mapped to registry keys.
+SEQ_SPELLINGS = {
+    "jacobsthal": "jacobsthal",
+    "gen-j": GEN_J,
+    "gen-jlike": GEN_J_LIKE,
+    "lucas": "lucas",
+    "a-num": "a-number",
+    "j-complex": "j-complex",
+}
+CATALOG_SPELLINGS = {name: name for name in (GEN_J, GEN_J_LIKE, "lucas", "a-number")}
+IDENTITY_SPELLINGS = {"j": GEN_J, "jlike": GEN_J_LIKE}
+
+
+def signed_r(family: str, r: int, s: int) -> int:
+    """Check s > r >= 1 and return the family's signed r: r for gen-jlike, -r for gen-j."""
+    entry = FAMILIES.get(family)
+    if entry is None or not entry.sign:
+        raise ValueError(f"unknown family {family!r}")
+    check_ratio(r, s)
+    return entry.sign * r

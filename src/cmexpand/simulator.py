@@ -76,11 +76,6 @@ def ledger_init(mass_at_zero, mass_at_one) -> MassLedger:
     return MassLedger(masses, target, estimate)
 
 
-def ledger_cm(ledger: MassLedger) -> Fraction:
-    """Exact mass-weighted mean position."""
-    return ledger.cm()
-
-
 def ledger_step(
     ledger: MassLedger,
     ratio: ExpansionRatio,

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from cmexpand.catalog import (
     FAMILY_CUSTOM,
     FAMILY_ENGINE,
-    FAMILY_GEN_J,
     PROVENANCE_DERIVED,
     CatalogEntry,
     builtin_catalog,
@@ -18,7 +18,8 @@ from cmexpand.catalog import (
     verify_entry,
     write_bfile,
 )
-from cmexpand.errors import NonConsecutiveIndex, ParseError, UnknownFamily
+from cmexpand.errors import MalformedCatalog, NonConsecutiveIndex, ParseError, UnknownFamily
+from cmexpand.sequences import CATALOG_SPELLINGS, GEN_J
 
 
 def entry_by_id(entries, entry_id):
@@ -46,6 +47,16 @@ class TestBuiltinCatalog:
         assert entry.values[:7] == (
             F(43, 128), F(-21, 64), F(11, 32), F(-5, 16), F(3, 8), F(-1, 4), F(1, 2),
         )
+
+    def test_every_family_resolves_through_the_registry(self):
+        families = {e.family for e in builtin_catalog()}
+        assert families <= set(CATALOG_SPELLINGS) | {FAMILY_ENGINE, FAMILY_CUSTOM}
+        assert set(CATALOG_SPELLINGS) <= families
+
+    def test_cli_spelling_is_not_a_catalog_family(self):
+        entry = CatalogEntry("X", "a-num", {"a": 1, "b": 1, "s": 2, "t": 1}, 0, (F(1),), PROVENANCE_DERIVED)
+        with pytest.raises(UnknownFamily):
+            verify_entry(entry)
 
     def test_a131865_values(self):
         entry = entry_by_id(builtin_catalog(), "A131865")
@@ -84,7 +95,25 @@ class TestVerifyEntry:
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
-            CatalogEntry("empty", FAMILY_GEN_J, {"r": 1, "s": 2}, 0, (), PROVENANCE_DERIVED)
+            CatalogEntry("empty", GEN_J, {"r": 1, "s": 2}, 0, (), PROVENANCE_DERIVED)
+
+
+class TestMalformedCatalog:
+    @pytest.mark.parametrize("document", [{}, {"items": []}])
+    def test_document_without_entries(self, tmp_path, document):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(MalformedCatalog, match="'entries'"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("key", ["id", "family", "values"])
+    def test_entry_without_required_key(self, tmp_path, key):
+        record = {"id": "A001045", "family": "gen-j", "params": {"r": 1, "s": 2}, "values": ["0", "1"]}
+        del record[key]
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"entries": [record]}))
+        with pytest.raises(MalformedCatalog, match=repr(key)):
+            load_catalog(path)
 
 
 class TestJsonRoundTrip:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 from cmexpand.catalog import builtin_catalog, dump_catalog, entry_to_dict, write_bfile
 from cmexpand.cli import run
+from cmexpand.sequences import FAMILIES, IDENTITY_SPELLINGS, SEQ_SPELLINGS
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +131,33 @@ class TestSeqCommand:
         code, _, err = run_cli(capsys, "seq", "--family", "gen-j", "--from", "0", "--to", "3")
         assert code == 1 and "--r" in err
 
+    def test_every_family_choice_resolves_through_the_registry(self, capsys):
+        sample = {"r": "1", "s": "3", "p": "1", "q": "-1", "a": "1", "b": "1", "t": "1", "mu": "1", "nu": "2"}
+        for spelling, name in SEQ_SPELLINGS.items():
+            names = FAMILIES[name].params
+            flags = [f"--{param}={sample[param]}" for param in names]
+            code, out, err = run_cli(capsys, "seq", "--family", spelling, *flags, "--from", "0", "--to", "3")
+            assert code == 0, err
+            doc = json.loads(out)
+            assert doc["family"] == spelling and list(doc["params"]) == list(names)
+            assert len(doc["values"]) == 4
+
+    def test_spellings_outside_the_registry_rejected(self, capsys):
+        code, out, _ = run_cli(capsys, "seq", "--family", "a-number", "--from", "0", "--to", "3")
+        assert code == 1 and out == ""
+        code, out, _ = run_cli(capsys, "identity", "--family", "gen-j", "--r", "1", "--s", "2", "--n", "3", "--m", "1")
+        assert code == 1 and out == ""
+        for spelling in IDENTITY_SPELLINGS:
+            code, _, _ = run_cli(capsys, "identity", "--family", spelling, "--r", "1", "--s", "2", "--n", "3", "--m", "1")
+            assert code == 0
+
+    def test_gen_j_and_gen_jlike_parameter_errors(self, capsys):
+        # gen-j needs s > r >= 1 (usage error); gen-jlike only needs r != s
+        assert run_cli(capsys, "seq", "--family", "gen-j", "--r", "2", "--s", "2")[0] == 1
+        assert run_cli(capsys, "seq", "--family", "gen-jlike", "--r", "2", "--s", "2")[0] == 2
+        assert run_cli(capsys, "seq", "--family", "gen-jlike", "--r", "3", "--s", "2")[0] == 0
+        assert run_cli(capsys, "seq", "--family", "lucas", "--p", "1", "--q", "1", "--from", "-1")[0] == 1
+
     def test_degenerate_params_exit_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "seq", "--family", "a-num",
@@ -245,6 +273,20 @@ class TestVerifyCommand:
         path.write_text("0 0\n")
         code, _, _ = run_cli(capsys, "verify", "--bfile", str(path))
         assert code == 1
+
+    def test_catalog_without_entries_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text("{}")
+        code, out, err = run_cli(capsys, "verify", "--catalog", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "'entries'" in err
+
+    def test_entry_without_values_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"entries": [{"id": "A001045", "family": "gen-j", "params": {"r": 1, "s": 2}}]}))
+        code, out, err = run_cli(capsys, "verify", "--catalog", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "'values'" in err
 
     def test_missing_catalog_file_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--catalog", "/nonexistent/cat.json")

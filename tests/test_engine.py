@@ -42,10 +42,6 @@ class TestRatio:
             with pytest.raises(ValueError):
                 ExpansionRatio(r, s)
 
-    def test_weight(self):
-        assert ExpansionRatio(2, 3).weight == (2, 1)
-        assert ExpansionRatio(1, 2).weight == (1, 1)
-
     def test_from_text(self):
         assert ExpansionRatio.from_text("3/4") == ExpansionRatio(3, 4)
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmexpand.errors import InvalidIndices
 from cmexpand.identities import (
     CATALAN,
     CONVOLUTION,
     DOCAGNE,
+    IDENTITIES,
     catalan_sides,
     identity_check,
     identity_sweep,
@@ -97,3 +100,30 @@ class TestSweep:
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             identity_sweep(GEN_J, 0, 2, 3)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        family=st.sampled_from((GEN_J, GEN_J_LIKE)),
+        r_max=st.integers(1, 3),
+        s_max=st.integers(1, 5),
+        n_max=st.integers(1, 6),
+    )
+    def test_sweep_equals_pointwise_checks(self, family, r_max, s_max, n_max):
+        checked = skipped = 0
+        failures = []
+        for r in range(1, r_max + 1):
+            for s in range(r + 1, s_max + 1):
+                for n in range(n_max + 1):
+                    for m in range(n_max + 1):
+                        for identity in IDENTITIES:
+                            try:
+                                report = identity_check(identity, family, r, s, n, m)
+                            except InvalidIndices:
+                                skipped += 1
+                                continue
+                            checked += 1
+                            if not report.holds:
+                                failures.append(report)
+        summary = identity_sweep(family, r_max, s_max, n_max)
+        assert (summary.checked, summary.skipped) == (checked, skipped)
+        assert summary.failures == tuple(failures)

@@ -2,21 +2,26 @@ import cmath
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from cmexpand.engine import ExpansionRatio, closed_form_partial
 from cmexpand.errors import BranchUndefined, DegenerateParams
 from cmexpand.numerics import QuadraticSurd
 from cmexpand.sequences import (
     BACKWARD,
+    CATALOG_SPELLINGS,
+    FAMILIES,
     GEN_J,
     GEN_J_LIKE,
+    IDENTITY_SPELLINGS,
+    SEQ_SPELLINGS,
     a_continuous,
     a_number,
     gen_j,
     gen_j_like,
     gen_j_like_recurrence,
     gen_j_recurrence,
-    generalized_jacobsthal,
     gf_coefficients,
     j_continuous,
     jacobsthal,
@@ -284,16 +289,66 @@ class TestContinuations:
 
 
 class TestGeneralizedJacobsthal:
+    """The r = 1 slice gen_j(1, s, n) = (s**n - (-1)**n) / (s + 1)."""
+
     def test_values(self):
-        assert generalized_jacobsthal(2, 5) == 11
-        assert generalized_jacobsthal(3, 3) == 7
-        assert generalized_jacobsthal(4, 0) == 0
+        assert gen_j(1, 2, 5) == 11
+        assert gen_j(1, 3, 3) == 7
+        assert gen_j(1, 4, 0) == 0
 
     def test_matches_gen_j_slice(self):
         for s in range(2, 7):
-            for n in range(10):
-                assert generalized_jacobsthal(s, n) == gen_j(1, s, n)
+            for n in range(-5, 10):
+                assert gen_j(1, s, n) == (F(s) ** n - F(-1) ** n) / (s + 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            generalized_jacobsthal(1, 3)
+            gen_j(1, 1, 3)
+
+
+def integer_recurrence(c1: int, c2: int, limit: int) -> dict:
+    """x_k = c1 x_{k-1} + c2 x_{k-2} from x_0 = 0, x_1 = 1, run both ways over |k| <= limit."""
+    x = {0: F(0), 1: F(1)}
+    for k in range(2, limit + 1):
+        x[k] = c1 * x[k - 1] + c2 * x[k - 2]
+    for k in range(-1, -limit - 1, -1):
+        x[k] = (x[k + 2] - c1 * x[k + 1]) / c2
+    return x
+
+
+class TestAgainstIntegerRecurrence:
+    @given(st.integers(1, 12), st.integers(1, 12))
+    def test_gen_j(self, r, s):
+        assume(s > r)
+        expected = integer_recurrence(s - r, r * s, 40)
+        assert all(gen_j(r, s, n) == expected[n] for n in range(-40, 41))
+
+    @given(st.integers(-12, 12), st.integers(-12, 12))
+    def test_gen_j_like(self, r, s):
+        assume(r != s and r * s != 0)
+        expected = integer_recurrence(s + r, -r * s, 40)
+        assert all(gen_j_like(r, s, n) == expected[n] for n in range(-40, 41))
+
+
+class TestRegistry:
+    def test_front_end_spellings(self):
+        assert list(SEQ_SPELLINGS) == ["jacobsthal", "gen-j", "gen-jlike", "lucas", "a-num", "j-complex"]
+        assert set(CATALOG_SPELLINGS) == {"gen-j", "gen-jlike", "lucas", "a-number"}
+        assert IDENTITY_SPELLINGS == {"j": GEN_J, "jlike": GEN_J_LIKE}
+        for spellings in (SEQ_SPELLINGS, CATALOG_SPELLINGS, IDENTITY_SPELLINGS):
+            assert set(spellings.values()) <= set(FAMILIES)
+
+    def test_signed_pair(self):
+        # gen-j is gen-jlike at -r, and no other family carries a sign
+        assert (FAMILIES[GEN_J].sign, FAMILIES[GEN_J_LIKE].sign) == (-1, 1)
+        assert [name for name, family in FAMILIES.items() if family.sign] == [GEN_J, GEN_J_LIKE]
+
+    def test_parameters_read_from_text_and_json(self):
+        assert FAMILIES[GEN_J].arguments({"r": "2", "s": 3}) == (2, 3)
+        assert FAMILIES["lucas"].arguments({"p": "1/2", "q": -1}) == (F(1, 2), F(-1))
+        surds = {"d": 5, "r": {"a": "1/2", "b": "-1/2"}, "s": {"a": "1/2", "b": "1/2"}}
+        assert FAMILIES[GEN_J_LIKE].arguments(surds) == (PSI, PHI)
+        with pytest.raises(ValueError, match="r must be an integer"):
+            FAMILIES[GEN_J].arguments({"r": "x", "s": "3"})
+        with pytest.raises(ValueError, match="q must be a rational"):
+            FAMILIES["lucas"].arguments({"p": "1", "q": "1/0"})

@@ -4,7 +4,7 @@ import pytest
 
 from cmexpand.engine import ExpansionRatio, expand
 from cmexpand.errors import EmptySystem, NoBracketCluster, NonConvergent
-from cmexpand.simulator import ledger_cm, ledger_init, ledger_step, simulate
+from cmexpand.simulator import ledger_init, ledger_step, simulate
 
 HALF = ExpansionRatio(1, 2)
 TWO_THIRDS = ExpansionRatio(2, 3)
@@ -57,16 +57,16 @@ class TestLedgerInit:
 
 class TestLedgerCm:
     def test_initial(self):
-        assert ledger_cm(ledger_init(2, 1)) == F(1, 3)
+        assert ledger_init(2, 1).cm() == F(1, 3)
 
     def test_after_first_move(self):
         ledger = ledger_init(2, 1)
         ledger_step(ledger, HALF)
-        assert ledger_cm(ledger) == F(1, 3)
+        assert ledger.cm() == F(1, 3)
 
     def test_single_cluster(self):
         ledger = ledger_init(0, 3)
-        assert ledger_cm(ledger) == 1
+        assert ledger.cm() == 1
 
 
 class TestLedgerStep:
