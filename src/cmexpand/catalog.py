@@ -15,8 +15,8 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .engine import ExpansionRatio, expand
-from .errors import MalformedCatalog, NonConsecutiveIndex, ParseError, UnknownFamily
+from .engine import ExpansionRatio, check_budget, expand
+from .errors import BudgetExceeded, MalformedCatalog, NonConsecutiveIndex, ParseError, UnknownFamily
 from .sequences import CATALOG_SPELLINGS, FAMILIES
 from .targets import parse_target
 
@@ -157,8 +157,9 @@ def _engine_values(params, offset: int, count: int) -> list[Fraction]:
     base = Fraction(params.get("scale_base", 1))
     mult = Fraction(params.get("scale_mult", 1))
     bits = int(params.get("bits", 256))
-    target = parse_target(params["target"], bits)
     top_index = stride * (offset + count - 1) + phase
+    check_budget(top_index, bits)
+    target = parse_target(params["target"], bits)
     run = expand(target, ratio, params.get("x0", "larger"), max_terms=top_index, max_bits=bits)
     out = []
     for i in range(count):
@@ -182,10 +183,14 @@ def computed_values(entry: CatalogEntry) -> list[Fraction]:
 
 
 def verify_entry(entry: CatalogEntry) -> VerificationReport:
-    """Recompute every value exactly; report the first mismatch, if any."""
+    """Recompute every value exactly; report the first mismatch, if any.
+
+    An unknown family or an engine entry over the input limits raises
+    instead of counting as a mismatch.
+    """
     try:
         recomputed = computed_values(entry)
-    except UnknownFamily:
+    except (UnknownFamily, BudgetExceeded):
         raise
     except Exception:
         return VerificationReport(entry.id, 0, len(entry.values), (entry.offset, entry.values[0], None))

@@ -18,9 +18,10 @@ from fractions import Fraction
 
 from . import catalog as cat
 from . import identities, sequences, simulator
-from .engine import ExpansionRatio, Expansion, expand, regroup, term_magnitude
+from .engine import ExpansionRatio, Expansion, check_budget, expand, regroup, term_magnitude
 from .errors import (
     BFileError,
+    BudgetExceeded,
     CmexpandError,
     MalformedCatalog,
     RangeError,
@@ -35,7 +36,8 @@ EXIT_MATH = 2
 EXIT_MISMATCH = 3
 
 _USAGE_ERRORS = (
-    TargetSyntaxError, RangeError, BFileError, UnknownFamily, MalformedCatalog, ValueError, TypeError,
+    TargetSyntaxError, RangeError, BFileError, UnknownFamily, MalformedCatalog, BudgetExceeded, ValueError,
+    TypeError,
 )
 
 
@@ -120,6 +122,7 @@ def _print_expansion_csv(payload: dict):
 
 
 def _cmd_expand(args) -> int:
+    check_budget(args.terms, args.bits)
     target = parse_target(args.target, args.bits)
     ratio = ExpansionRatio.from_text(args.ratio)
     run = expand(target, ratio, args.x0, max_terms=args.terms, max_bits=args.bits)

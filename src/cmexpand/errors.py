@@ -61,6 +61,10 @@ class MalformedCatalog(CmexpandError):
     """A catalog document or entry lacks a required field."""
 
 
+class BudgetExceeded(CmexpandError):
+    """An untrusted input asks for more terms or bits than its documented limit."""
+
+
 class TargetSyntaxError(CmexpandError):
     """Target expression failed to parse; `position` is the offending offset."""
 

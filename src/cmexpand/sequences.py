@@ -65,7 +65,8 @@ def gen_j(r: int, s: int, n: int) -> Fraction:
 def gen_j_like(r, s, n: int):
     """(s**n - r**n) / (s - r) for distinct rational or surd r, s, any integer n.
 
-    r may carry either sign; gen_j is this function at -r.  Returns a
+    r may carry either sign; gen_j is this function at -r.  At negative n
+    both must be nonzero (DegenerateParams otherwise).  Returns a
     Fraction whenever the value is rational (always, for rational
     parameters; also for conjugate surd pairs such as the Fibonacci and
     Pell parameterizations).
@@ -73,6 +74,8 @@ def gen_j_like(r, s, n: int):
     r, s = _lift(r, s)
     if r == s:
         raise DegenerateParams("r and s must differ")
+    if n < 0 and not (r and s):
+        raise DegenerateParams("r and s must be nonzero at negative indices")
     return _settle((s ** n - r ** n) / (s - r))
 
 
@@ -108,6 +111,8 @@ def gen_j_like_recurrence(r, s, count: int, direction: str = FORWARD) -> list:
     if direction == FORWARD:
         values = _unroll(one * 0, one, s + r, -(r * s), max(count, 2))
     elif direction == BACKWARD:
+        if not (r and s):
+            raise DegenerateParams("r and s must be nonzero at negative indices")
         inv_rs = one / (r * s)
         values = _unroll(one * 0, -inv_rs, (s + r) * inv_rs, -inv_rs, max(count, 2))
     else:

@@ -18,7 +18,7 @@ from cmexpand.catalog import (
     verify_entry,
     write_bfile,
 )
-from cmexpand.errors import MalformedCatalog, NonConsecutiveIndex, ParseError, UnknownFamily
+from cmexpand.errors import BudgetExceeded, MalformedCatalog, NonConsecutiveIndex, ParseError, UnknownFamily
 from cmexpand.sequences import CATALOG_SPELLINGS, GEN_J
 
 
@@ -82,6 +82,13 @@ class TestVerifyEntry:
     def test_unknown_family(self):
         entry = CatalogEntry("X", "mystery", {}, 0, (F(1),), PROVENANCE_DERIVED)
         with pytest.raises(UnknownFamily):
+            verify_entry(entry)
+
+    def test_over_budget_engine_entry_raises(self):
+        # top_index = stride * (offset + count - 1) + phase = 16385, one past the cap
+        entry = CatalogEntry("big", FAMILY_ENGINE, {"ratio": "1/2", "target": "1/3", "stride": 5, "phase": 5},
+                             3276, (F(0),), PROVENANCE_DERIVED)
+        with pytest.raises(BudgetExceeded, match="16385 terms"):
             verify_entry(entry)
 
     def test_custom_family_passes_trivially(self):

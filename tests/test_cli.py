@@ -1,9 +1,18 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
+from cmexpand import catalog as cat
+from cmexpand import cli
 from cmexpand.catalog import builtin_catalog, dump_catalog, entry_to_dict, write_bfile
 from cmexpand.cli import run
+from cmexpand.engine import BITS_LIMIT, TERMS_LIMIT, check_budget
 from cmexpand.sequences import FAMILIES, IDENTITY_SPELLINGS, SEQ_SPELLINGS
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("work started before the budget check")
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +86,25 @@ class TestExpandCommand:
     def test_unknown_flag_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "expand", "--target", "1/3", "--bogus", "x")
         assert code == 1
+
+
+class TestExpandBudget:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        monkeypatch.setattr(cli, "parse_target", refuse)
+        monkeypatch.setattr(cli, "expand", refuse)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--terms", "16385", "16385 terms exceeds the limit of 16384"),
+        ("--bits", "65537", "65537 bits exceeds the limit of 65536"),
+    ])
+    def test_just_above_the_cap_exits_1_before_any_work(self, capsys, no_work, flag, value, message):
+        code, out, err = run_cli(capsys, "expand", "--target", "1/pi", "--ratio", "1/2", flag, value)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_caps_themselves_are_allowed(self):
+        check_budget(TERMS_LIMIT, BITS_LIMIT)
+        assert (TERMS_LIMIT, BITS_LIMIT) == (16384, 65536)
 
 
 class TestSeqCommand:
@@ -164,6 +192,11 @@ class TestSeqCommand:
             "--a", "1", "--b", "1", "--s", "2", "--t", "-2", "--from", "0", "--to", "3",
         )
         assert code == 2
+
+    def test_zero_parameter_at_negative_index_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "seq", "--family", "gen-jlike", "--r", "0", "--s", "2", "--from", "-2", "--to", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: r and s must be nonzero at negative indices\n"
 
 
 class TestIdentityCommand:
@@ -287,6 +320,20 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--catalog", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "'values'" in err
+
+    @pytest.mark.parametrize("params, offset", [
+        ({"ratio": "1/2", "target": "1/pi", "stride": 16385}, 1),  # top_index 16385
+        ({"ratio": "1/2", "target": "1/pi", "bits": 65537}, 0),
+    ])
+    def test_engine_entry_over_budget_exit_1(self, capsys, tmp_path, monkeypatch, params, offset):
+        monkeypatch.setattr(cat, "parse_target", refuse)
+        monkeypatch.setattr(cat, "expand", refuse)
+        record = {"id": "big", "family": "engine-partial-sums", "params": params, "offset": offset, "values": ["0"]}
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"entries": [record]}))
+        code, out, err = run_cli(capsys, "verify", "--catalog", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "exceeds the limit" in err
 
     def test_missing_catalog_file_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--catalog", "/nonexistent/cat.json")

@@ -2,7 +2,10 @@ import math
 from fractions import Fraction as F
 from itertools import combinations
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmexpand.engine import (
     ExpansionRatio,
@@ -14,22 +17,39 @@ from cmexpand.engine import (
     term_magnitude,
 )
 from cmexpand.errors import InsufficientTerms, NonConvergent, PrecisionExhausted
-from cmexpand.realnum import inv_pi, pi_multiple
+from cmexpand.realnum import Comparison, PrecisionReal, inv_pi, pi_multiple, real_compare
 
 HALF = ExpansionRatio(1, 2)
 RATIOS = [ExpansionRatio(r, s) for r, s in combinations(range(1, 7), 2)]
 
 
 def greedy_oracle(target, ratio, x0, terms):
-    # independent reference: direct greedy recursion on exact rationals
+    # independent reference: direct greedy recursion on exact rationals, with
+    # the engine's guards (reachability from x0 and after each step, and the
+    # unit interval) raising NonConvergent
+    r, s = ratio.r, ratio.s
+
+    def tail(n):
+        return F(r**n, s**n * (s - r))
+
     sums = [x0]
+    if abs(target - x0) > tail(0):
+        raise NonConvergent("start")
     for n in range(1, terms + 1):
         diff = target - sums[-1]
         if diff == 0:
             break
         sign = 1 if diff > 0 else -1
-        sums.append(sums[-1] + sign * F(ratio.r ** (n - 1), ratio.s ** n))
+        sums.append(sums[-1] + sign * F(r ** (n - 1), s**n))
+        if not 0 <= sums[-1] <= 1:
+            raise NonConvergent("unit interval")
+        if abs(target - sums[-1]) > tail(n):
+            raise NonConvergent("tail")
     return sums
+
+
+def oracle_x0(target, policy):
+    return {"zero": F(0), "one": F(1), "larger": F(0) if target <= F(1, 2) else F(1)}[policy]
 
 
 class TestRatio:
@@ -146,6 +166,153 @@ class TestExpandExact:
         assert run.terminated and run.partial_sums == (F(0),)
         run = expand(F(1), HALF, "one", 5)
         assert run.terminated and run.partial_sums == (F(1),)
+
+
+class TestLadderProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q=st.integers(1, 10**6),
+        num=st.integers(0, 10**6),
+        r=st.integers(1, 7),
+        extra=st.integers(1, 6),
+        scale=st.sampled_from((1, 1, 2, 3)),
+        policy=st.sampled_from(("zero", "one", "larger")),
+        terms=st.integers(0, 80),
+    )
+    def test_matches_greedy_oracle(self, q, num, r, extra, scale, policy, terms):
+        # scale > 1 hands expand an unreduced ratio such as 4/6
+        target = F(num % (q + 1), q)
+        ratio = ExpansionRatio(r * scale, (r + extra) * scale)
+        x0 = oracle_x0(target, policy)
+        try:
+            expected = greedy_oracle(target, ratio, x0, terms)
+        except NonConvergent:
+            with pytest.raises(NonConvergent):
+                expand(target, ratio, policy, terms)
+            return
+        run = expand(target, ratio, policy, terms)
+        assert list(run.partial_sums) == expected
+        assert list(run.signs) == [1 if b > a else -1 for a, b in zip(expected, expected[1:])]
+        assert run.terminated == (expected[-1] == target)
+        for n, x in enumerate(run.partial_sums):
+            assert abs(target - x) <= error_bound(ratio, n)
+            if n:
+                assert x.denominator == ratio.s**n
+
+    def test_magnitudes_and_bounds_are_reduced(self):
+        for ratio in RATIOS + [ExpansionRatio(4, 6), ExpansionRatio(7, 8)]:
+            r, s = ratio.r, ratio.s
+            for n in range(1, 40):
+                assert term_magnitude(ratio, n) == F(r ** (n - 1), s**n)
+                assert term_magnitude(ratio, n).denominator == s**n
+                bound = error_bound(ratio, n)
+                assert bound == F(r**n, s**n * (s - r))
+                assert (bound.numerator, bound.denominator) == (r**n, s**n * (s - r))
+
+
+def mpmath_signs(text, ratio, x0, terms, bits):
+    """Greedy signs of a pi-derived target, replayed in mpmath well past the estimates' size."""
+    r, s = ratio.r, ratio.s
+    with mpmath.workprec(bits + int(terms * math.log2(s)) + 128):
+        value = 1 / mpmath.pi if text == "1/pi" else mpmath.mpf(text.numerator) * mpmath.pi / text.denominator
+        a, signs = x0, []
+        for n in range(1, terms + 1):
+            sign = 1 if value * s ** (n - 1) > a else -1
+            signs.append(sign)
+            a = a * s + sign * r ** (n - 1)
+    return signs
+
+
+class TestBracketedSigns:
+    CASES = [
+        ("1/pi", HALF, 0, 400, 2048),
+        ("1/pi", ExpansionRatio(2, 3), 0, 300, 1024),
+        ("1/pi", ExpansionRatio(7, 8), 0, 500, 1024),
+        (F(1, 4), HALF, 1, 300, 1024),
+        (F(1, 5), ExpansionRatio(3, 5), 1, 200, 1024),
+        (F(2, 7), ExpansionRatio(7, 8), 1, 400, 512),
+    ]
+
+    @pytest.mark.parametrize("text, ratio, x0, terms, bits", CASES)
+    def test_signs_match_mpmath_replay(self, text, ratio, x0, terms, bits):
+        target = inv_pi() if text == "1/pi" else pi_multiple(text)
+        run = expand(target, ratio, "zero" if x0 == 0 else "one", terms, bits)
+        assert list(run.signs) == mpmath_signs(text, ratio, x0, terms, bits)
+        assert not run.terminated
+
+    # (target, ratio, x0, terms, max_bits) -> the estimate the sign decision stalled at
+    EXHAUSTED = [
+        (inv_pi, HALF, "zero", 40, 16, "20861/65536"),
+        (inv_pi, ExpansionRatio(2, 3), "larger", 60, 32,
+         "685542080540129114993839/2153693963075557766310747"),
+        (lambda: pi_multiple(F(1, 4)), HALF, "one", 16, 8, "403/512"),
+    ]
+
+    @pytest.mark.parametrize("make, ratio, policy, terms, bits, stalled", EXHAUSTED)
+    def test_precision_exhausted_cases(self, make, ratio, policy, terms, bits, stalled):
+        target = make()
+        with pytest.raises(PrecisionExhausted) as info:
+            expand(target, ratio, policy, terms, bits)
+        assert str(info.value) == f"cannot separate {target!r} from {stalled} within {bits} bits"
+        # undecidable: the estimate lies within 2**-bits of the target (bits <= 32, so a float is exact enough)
+        assert abs(F(stalled) - F(float(target))) < F(1, 2**bits)
+
+
+def real_compare_expand(target, ratio, policy, terms, bits):
+    """The step loop on Fractions with every decision made by real_compare: the reference
+    for the engine's scaled-integer bracket route (signs, errors, and which refinements run)."""
+    r, s = ratio.r, ratio.s
+    target.bracket(8)  # the range check
+    half = real_compare(target, F(1, 2), bits) if policy == "larger" else None
+    x0 = F(0) if policy == "zero" or half is Comparison.LESS else F(1)
+
+    def beyond(center, bound):
+        return (real_compare(target, center + bound, bits) is Comparison.GREATER
+                or real_compare(target, center - bound, bits) is Comparison.LESS)
+
+    sums = [x0]
+    if beyond(x0, F(1, s - r)):
+        raise NonConvergent(f"|{target} - {x0}| exceeds the total ladder sum")
+    for n in range(1, terms + 1):
+        order = real_compare(target, sums[-1], bits)
+        if order is Comparison.UNDECIDED:
+            raise PrecisionExhausted(f"cannot separate {target!r} from {sums[-1]} within {bits} bits")
+        sums.append(sums[-1] + order.value * F(r ** (n - 1), s**n))
+        if not 0 <= sums[-1] <= 1:
+            raise NonConvergent(f"step {n} would leave the unit interval ({sums[-1]})")
+        if beyond(sums[-1], F(r**n, s**n * (s - r))):
+            raise NonConvergent(f"remaining terms after step {n} cannot reach {target}")
+    return sums
+
+
+def logged(make):
+    """A fresh PrecisionReal that records the bits of every oracle call (every refinement)."""
+    base, log = make(), []
+
+    def oracle(bits):
+        log.append(bits)
+        return base._oracle(bits)
+
+    return PrecisionReal(base.name, oracle), log
+
+
+class TestBracketRoute:
+    @pytest.mark.parametrize("make", [inv_pi, lambda: pi_multiple(F(1, 4)), lambda: pi_multiple(F(7, 22))])
+    @pytest.mark.parametrize("ratio", [HALF, ExpansionRatio(2, 3), ExpansionRatio(7, 8), ExpansionRatio(3, 5)])
+    def test_same_outcome_and_refinements_as_real_compare(self, make, ratio):
+        for policy in ("zero", "one", "larger"):
+            for bits in (8, 9, 16, 64, 256):
+                for terms in (0, 20, 150):
+                    outcomes = []
+                    for route in (expand, real_compare_expand):
+                        target, log = logged(make)
+                        try:
+                            result = route(target, ratio, policy, terms, bits)
+                            sums = list(getattr(result, "partial_sums", result))
+                        except (NonConvergent, PrecisionExhausted) as exc:
+                            sums = (type(exc), str(exc))
+                        outcomes.append((sums, log, target.bracket(8)))
+                    assert outcomes[0] == outcomes[1]
 
 
 class TestExpandErrors:

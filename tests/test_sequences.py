@@ -130,6 +130,14 @@ class TestGenJLike:
         with pytest.raises(DegenerateParams):
             gen_j_like(3, 3, 2)
 
+    def test_zero_parameter_at_negative_index(self):
+        # 0**n has no value for n < 0; nonnegative indices stay defined
+        for r, s in ((2, 0), (0, 2), (PSI - PSI, PHI)):
+            with pytest.raises(DegenerateParams, match="nonzero at negative indices"):
+                gen_j_like(r, s, -1)
+        assert gen_j_like(0, 2, 3) == 4
+        assert gen_j_like(2, 0, 0) == 0
+
 
 class TestRecurrences:
     def test_gen_j_forward(self):
@@ -144,6 +152,12 @@ class TestRecurrences:
 
     def test_gen_j_like_backward(self):
         assert gen_j_like_recurrence(1, 3, 4, BACKWARD) == [0, F(-1, 3), F(-4, 9), F(-13, 27)]
+
+    def test_backward_with_zero_parameter(self):
+        for r, s in ((0, 2), (3, 0)):
+            with pytest.raises(DegenerateParams, match="nonzero at negative indices"):
+                gen_j_like_recurrence(r, s, 4, BACKWARD)
+        assert gen_j_like_recurrence(0, 2, 4) == [0, 1, 2, 4]
 
     def test_fibonacci_via_surd_recurrence(self):
         # s + r = 1 and r*s = -1, so the unrolled values stay integers
